@@ -99,6 +99,9 @@ netmark::Result<std::vector<FederatedHit>> RemoteSource::Execute(
   // Deadline propagation: tell the remote how much budget is left so it can
   // bound its own fan-out instead of answering a query nobody is waiting for.
   query::XdbQuery pushed = query;
+  // The mediator renders the composed federated result itself; a remote
+  // asked for a stylesheet would answer with a report, not <results>.
+  pushed.xslt.clear();
   if (ctx.bounded()) {
     int64_t remaining = ctx.remaining_ms();
     if (pushed.timeout_ms == 0 || remaining < pushed.timeout_ms) {

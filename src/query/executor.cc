@@ -454,11 +454,17 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
 
   // Result-cache consult: the canonical query string + the snapshot's
   // commit epoch identify the answer exactly (a commit bumps the epoch, so
-  // stale entries can never be reached — no invalidation locking).
+  // stale entries can never be reached — no invalidation locking). The
+  // stylesheet (applied after execution) and the deadline (which only a
+  // federated hop acts on) do not change the hit list, so they stay out of
+  // the key; `limit` does, so it stays in.
   std::string cache_key;
   const bool use_cache = result_cache_ != nullptr && result_cache_->enabled();
   if (use_cache) {
-    cache_key = query.ToQueryString();
+    XdbQuery keyed = query;
+    keyed.xslt.clear();
+    keyed.timeout_ms = 0;
+    cache_key = keyed.ToQueryString();
     // The probe rides whatever trace the serving thread bound (inert when
     // untraced) — cache cost shows up as its own span, not folded into
     // "execute".

@@ -168,17 +168,19 @@ netmark::Result<RowId> HeapFile::Insert(std::string_view record) {
   return id;
 }
 
-netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch) const {
+netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch, PageRef* ref) const {
   RowId cur = id;
   for (int hops = 0; hops < 64; ++hops) {
-    NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(cur.page, epoch));
-    Page page = ref.page();
-    std::string_view rec = page.Get(cur.slot);
+    NETMARK_ASSIGN_OR_RETURN(PageRef page_ref, pager_->FetchAt(cur.page, epoch));
+    std::string_view rec = page_ref.page().Get(cur.slot);
     if (rec.empty()) {
       return netmark::Status::NotFound("no record at " + id.ToString());
     }
     uint8_t flags = static_cast<uint8_t>(rec[0]);
-    if ((flags & kForwardFlag) == 0) return cur;
+    if ((flags & kForwardFlag) == 0) {
+      if (ref != nullptr) *ref = std::move(page_ref);
+      return cur;
+    }
     if (rec.size() != 9) return netmark::Status::Corruption("bad forward record");
     uint64_t packed;
     std::memcpy(&packed, rec.data() + 1, 8);
@@ -187,14 +189,24 @@ netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch) const {
   return netmark::Status::Corruption("forward chain too long at " + id.ToString());
 }
 
+netmark::Status HeapFile::Read(
+    RowId id, Epoch epoch,
+    const std::function<netmark::Status(std::string_view)>& fn) const {
+  PageRef ref;
+  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, epoch, &ref));
+  std::string_view rec = ref.page().Get(loc.slot);
+  if ((static_cast<uint8_t>(rec[0]) & kOverflowFlag) == 0) return fn(rec.substr(1));
+  NETMARK_ASSIGN_OR_RETURN(std::string spilled, ReadOverflow(rec.substr(1), epoch));
+  return fn(spilled);
+}
+
 netmark::Result<std::string> HeapFile::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, epoch));
-  NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(loc.page, epoch));
-  Page page = ref.page();
-  std::string_view rec = page.Get(loc.slot);
-  uint8_t flags = static_cast<uint8_t>(rec[0]);
-  if (flags & kOverflowFlag) return ReadOverflow(rec.substr(1), epoch);
-  return std::string(rec.substr(1));
+  std::string out;
+  NETMARK_RETURN_NOT_OK(Read(id, epoch, [&](std::string_view record) {
+    out.assign(record);
+    return netmark::Status::OK();
+  }));
+  return out;
 }
 
 bool HeapFile::Exists(RowId id, Epoch epoch) const {

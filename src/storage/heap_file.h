@@ -61,6 +61,14 @@ class HeapFile {
   /// `epoch`. NotFound covers both "no record" and "page born after epoch".
   netmark::Result<std::string> Get(RowId id, Epoch epoch = kLatestEpoch) const;
 
+  /// Zero-copy Get: `fn` sees the record's bytes as of `epoch`, valid only
+  /// during the call (they point into the fetched page version, or into the
+  /// assembled chain of an overflow record). A record costs one page fetch
+  /// unless it was relocated or spilled. Returns `fn`'s status or Get's
+  /// errors.
+  netmark::Status Read(RowId id, Epoch epoch,
+                       const std::function<netmark::Status(std::string_view)>& fn) const;
+
   /// Replaces a record's bytes; the RowId remains valid.
   netmark::Status Update(RowId id, std::string_view record);
 
@@ -97,8 +105,9 @@ class HeapFile {
   netmark::Result<std::string> ReadOverflow(std::string_view payload,
                                             Epoch epoch) const;
   netmark::Result<std::string> WriteOverflowPayload(std::string_view record);
-  /// Follows forward pointers from `id` to the slot holding the data.
-  netmark::Result<RowId> Resolve(RowId id, Epoch epoch) const;
+  /// Follows forward pointers from `id` to the slot holding the data; with
+  /// `ref`, the final hop's page version is handed to the caller.
+  netmark::Result<RowId> Resolve(RowId id, Epoch epoch, PageRef* ref = nullptr) const;
 
   Pager* pager_;
   PageId tail_ = kInvalidPage;  // current append page

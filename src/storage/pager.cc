@@ -40,7 +40,7 @@ netmark::Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
 Pager::~Pager() { (void)Flush(); }
 
 netmark::Result<PageId> Pager::Allocate() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   PageId count = page_count_.load(std::memory_order_relaxed);
   if (count == kInvalidPage) {
     return netmark::Status::CapacityExceeded("page file full: " + file_->path());
@@ -101,7 +101,7 @@ netmark::Result<Page> Pager::Fetch(PageId id) {
   // therefore serializes concurrent callers briefly, but entries are never
   // evicted so the common case — cache hit — is one map lookup, and the
   // returned buffer stays stable after the lock is released.
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   NETMARK_ASSIGN_OR_RETURN(Entry * entry, LoadEntryLocked(id));
   if (mvcc_ && entry->working == nullptr) {
     // Copy-on-write point: the writer gets a private clone of the current
@@ -113,26 +113,41 @@ netmark::Result<Page> Pager::Fetch(PageId id) {
 }
 
 netmark::Result<PageRef> Pager::FetchAt(PageId id, Epoch epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  {
+    // Hit path: the entry is cached, so readers only probe the map and copy
+    // a buffer reference — concurrently, under the shared lock.
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = entries_.find(id);
+    if (it != entries_.end()) return VersionAtLocked(it->second, id, epoch);
+  }
+  // Miss: loading inserts into the map, which needs the exclusive lock (the
+  // entry may have been loaded by another reader in between; LoadEntryLocked
+  // then finds it).
+  std::lock_guard<std::shared_mutex> lock(mu_);
   NETMARK_ASSIGN_OR_RETURN(Entry * entry, LoadEntryLocked(id));
+  return VersionAtLocked(*entry, id, epoch);
+}
+
+netmark::Result<PageRef> Pager::VersionAtLocked(const Entry& entry, PageId id,
+                                                Epoch epoch) const {
   if (!mvcc_ || epoch == kWriterEpoch) {
-    if (entry->working != nullptr) return PageRef(entry->working);
-    if (!entry->versions.empty()) return PageRef(entry->versions.back().second);
+    if (entry.working != nullptr) return PageRef(entry.working);
+    if (!entry.versions.empty()) return PageRef(entry.versions.back().second);
     return netmark::Status::Internal(
         netmark::StringPrintf("page %u has no buffer", id));
   }
   if (epoch == kLatestEpoch) {
-    if (!entry->versions.empty()) return PageRef(entry->versions.back().second);
+    if (!entry.versions.empty()) return PageRef(entry.versions.back().second);
     return netmark::Status::NotFound(netmark::StringPrintf(
         "page %u of %s has no published version yet", id, file_->path().c_str()));
   }
   // Newest version tagged <= epoch: versions are sorted ascending by tag.
-  const auto& versions = entry->versions;
+  const auto& versions = entry.versions;
   auto it = std::upper_bound(
       versions.begin(), versions.end(), epoch,
       [](Epoch e, const auto& version) { return e < version.first; });
   if (it == versions.begin()) {
-    if (epoch < entry->first_tag) {
+    if (epoch < entry.first_tag) {
       return netmark::Status::NotFound(netmark::StringPrintf(
           "page %u of %s was born after epoch %llu", id, file_->path().c_str(),
           static_cast<unsigned long long>(epoch)));
@@ -145,7 +160,7 @@ netmark::Result<PageRef> Pager::FetchAt(PageId id, Epoch epoch) {
 }
 
 void Pager::MarkDirty(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   Entry& entry = entries_[id];
   if (mvcc_) {
     entry.working_dirty = true;
@@ -163,7 +178,7 @@ void Pager::DropVersionLocked(Entry& entry, size_t index) {
 }
 
 void Pager::Publish(Epoch epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   if (!mvcc_) return;
   for (auto& [id, entry] : entries_) {
     if (entry.working == nullptr) continue;
@@ -191,7 +206,7 @@ void Pager::Publish(Epoch epoch) {
 }
 
 uint64_t Pager::ReclaimVersions(const std::vector<Epoch>& pins, Epoch cap) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   if (!mvcc_) return 0;
   uint64_t reclaimed = 0;
   for (auto& [id, entry] : entries_) {
@@ -227,7 +242,7 @@ uint64_t Pager::ReclaimVersions(const std::vector<Epoch>& pins, Epoch cap) {
 }
 
 std::vector<PageId> Pager::TakeDirtySinceMark() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   std::vector<PageId> out(dirty_since_mark_.begin(), dirty_since_mark_.end());
   dirty_since_mark_.clear();
   return out;
@@ -238,7 +253,7 @@ netmark::Status Pager::Flush() {
   // strand the rest; the failing page stays dirty (it will be retried by the
   // next Flush) and the first error is propagated.
   netmark::Status first_error = netmark::Status::OK();
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   for (auto& [id, entry] : entries_) {
     if (!entry.disk_dirty) continue;
     uint8_t* buf = nullptr;
@@ -269,7 +284,7 @@ netmark::Status Pager::Flush() {
 netmark::Status Pager::SyncToDisk() { return file_->Sync(); }
 
 netmark::Result<std::vector<PageId>> Pager::UpgradeAllV0() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   std::vector<PageId> upgraded;
   PageId count = page_count_.load(std::memory_order_relaxed);
   for (PageId id = 0; id < count; ++id) {
@@ -315,7 +330,7 @@ netmark::Result<std::vector<PageId>> Pager::UpgradeAllV0() {
 }
 
 netmark::Result<bool> Pager::VerifyOnDisk(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   if (quarantined_.count(id) != 0) return true;  // already known bad
   PageId count = page_count_.load(std::memory_order_relaxed);
   if (id >= count) {
@@ -354,17 +369,17 @@ netmark::Result<bool> Pager::VerifyOnDisk(PageId id) {
 }
 
 bool Pager::IsQuarantined(PageId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return quarantined_.count(id) != 0;
 }
 
 std::vector<PageId> Pager::QuarantinedPages() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return std::vector<PageId>(quarantined_.begin(), quarantined_.end());
 }
 
 uint64_t Pager::quarantined_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return quarantined_.size();
 }
 

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -101,14 +102,17 @@ class PageRef {
 
 /// \brief Owns the page file: allocation, fetch, write-back.
 ///
-/// Thread safety: Fetch()/FetchAt() may be called concurrently from many
-/// reader threads (the concurrent serving path); the internal mutex guards
-/// the version map and dirty bookkeeping. Returned buffers stay valid
-/// without the lock (legacy mode never evicts; MVCC mode hands out
-/// shared_ptr references). Mutators (Allocate / Fetch / MarkDirty / Flush /
-/// Publish / TakeDirtySinceMark) are additionally serialized by the
+/// Thread safety: FetchAt() may be called concurrently from many reader
+/// threads (the concurrent serving path). A cache hit — the common case,
+/// since pages are never evicted — takes the internal lock *shared*: it
+/// probes the page map and copies a buffer reference, so readers never
+/// serialize on each other. A miss (disk read + map insert) and every
+/// mutator take it exclusive. Returned buffers stay valid without the lock
+/// (legacy mode never evicts; MVCC mode hands out shared_ptr references).
+/// Mutators (Allocate / Fetch / MarkDirty / Flush / Publish /
+/// ReclaimVersions / TakeDirtySinceMark) are additionally serialized by the
 /// store-level writer lock, so they never race each other — but they do
-/// share the map with readers, hence the mutex.
+/// share the map with readers, hence the lock.
 class Pager {
  public:
   /// Opens (creating if absent) the page file at `path`.
@@ -239,8 +243,12 @@ class Pager {
         page_count_(page_count) {}
 
   /// Loads (or finds) the Entry for `id`, reading and verifying from disk
-  /// on a miss. Requires mu_ held.
+  /// on a miss. Requires mu_ held exclusive.
   netmark::Result<Entry*> LoadEntryLocked(PageId id);
+  /// FetchAt's version choice for a loaded entry. Requires mu_ held
+  /// (shared suffices: it only reads the entry).
+  netmark::Result<PageRef> VersionAtLocked(const Entry& entry, PageId id,
+                                           Epoch epoch) const;
   /// Drops one published version (bookkeeping helper). Requires mu_ held.
   void DropVersionLocked(Entry& entry, size_t index);
 
@@ -249,9 +257,9 @@ class Pager {
   const bool mvcc_;
   const size_t max_retained_versions_;  // 0 = unlimited
   std::atomic<PageId> page_count_{0};
-  /// Guards entries_/dirty_since_mark_/quarantined_ against concurrent
-  /// readers.
-  mutable std::mutex mu_;
+  /// Guards entries_/dirty_since_mark_/quarantined_: shared for FetchAt
+  /// hits and the quarantine getters, exclusive for everything else.
+  mutable std::shared_mutex mu_;
   std::unordered_map<PageId, Entry> entries_;
   std::set<PageId> dirty_since_mark_;
   std::set<PageId> quarantined_;

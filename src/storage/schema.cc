@@ -1,5 +1,6 @@
 #include "storage/schema.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -139,52 +140,83 @@ std::string EncodeRow(const Row& row) {
   return out;
 }
 
-netmark::Result<Row> DecodeRow(std::string_view bytes) {
+netmark::Result<RowReader> RowReader::Open(std::string_view bytes) {
   size_t pos = 0;
   NETMARK_ASSIGN_OR_RETURN(uint64_t n, ReadVarint(bytes, &pos));
+  return RowReader(bytes, pos, n);
+}
+
+netmark::Result<ValueView> RowReader::Next() {
+  if (read_ >= columns_ || pos_ >= bytes_.size()) {
+    return netmark::Status::Corruption("truncated row");
+  }
+  ++read_;
+  ValueView view;
+  view.type = static_cast<ValueType>(bytes_[pos_]);
+  ++pos_;
+  switch (view.type) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64: {
+      NETMARK_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(bytes_, &pos_));
+      view.int_value = UnZigZag(raw);
+      break;
+    }
+    case ValueType::kDouble: {
+      if (pos_ + sizeof(uint64_t) > bytes_.size()) {
+        return netmark::Status::Corruption("truncated double in row");
+      }
+      std::memcpy(&view.real_value, bytes_.data() + pos_, sizeof(uint64_t));
+      pos_ += sizeof(uint64_t);
+      break;
+    }
+    case ValueType::kString: {
+      NETMARK_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(bytes_, &pos_));
+      if (len > bytes_.size() - pos_) {
+        return netmark::Status::Corruption("truncated string in row");
+      }
+      view.str_value = bytes_.substr(pos_, len);
+      pos_ += len;
+      break;
+    }
+    default:
+      return netmark::Status::Corruption("unknown value tag in row");
+  }
+  return view;
+}
+
+netmark::Status RowReader::Finish() const {
+  if (read_ != columns_) return netmark::Status::Corruption("truncated row");
+  if (pos_ != bytes_.size()) {
+    return netmark::Status::Corruption("trailing bytes after row");
+  }
+  return netmark::Status::OK();
+}
+
+netmark::Result<Row> DecodeRow(std::string_view bytes) {
+  NETMARK_ASSIGN_OR_RETURN(RowReader reader, RowReader::Open(bytes));
   Row row;
-  row.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (pos >= bytes.size()) return netmark::Status::Corruption("truncated row");
-    auto type = static_cast<ValueType>(bytes[pos]);
-    ++pos;
-    switch (type) {
+  // Every cell takes at least its tag byte, so a corrupt count cannot make
+  // the reservation outgrow the input.
+  row.reserve(std::min<uint64_t>(reader.columns(), bytes.size()));
+  for (uint64_t i = 0; i < reader.columns(); ++i) {
+    NETMARK_ASSIGN_OR_RETURN(ValueView cell, reader.Next());
+    switch (cell.type) {
       case ValueType::kNull:
         row.push_back(Value::Null());
         break;
-      case ValueType::kInt64: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(bytes, &pos));
-        row.push_back(Value::Int(UnZigZag(raw)));
+      case ValueType::kInt64:
+        row.push_back(Value::Int(cell.int_value));
         break;
-      }
-      case ValueType::kDouble: {
-        if (pos + sizeof(uint64_t) > bytes.size()) {
-          return netmark::Status::Corruption("truncated double in row");
-        }
-        uint64_t bits;
-        std::memcpy(&bits, bytes.data() + pos, sizeof(bits));
-        pos += sizeof(bits);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        row.push_back(Value::Real(d));
+      case ValueType::kDouble:
+        row.push_back(Value::Real(cell.real_value));
         break;
-      }
-      case ValueType::kString: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(bytes, &pos));
-        if (pos + len > bytes.size()) {
-          return netmark::Status::Corruption("truncated string in row");
-        }
-        row.push_back(Value::Str(std::string(bytes.substr(pos, len))));
-        pos += len;
+      case ValueType::kString:
+        row.push_back(Value::Str(std::string(cell.str_value)));
         break;
-      }
-      default:
-        return netmark::Status::Corruption("unknown value tag in row");
     }
   }
-  if (pos != bytes.size()) {
-    return netmark::Status::Corruption("trailing bytes after row");
-  }
+  NETMARK_RETURN_NOT_OK(reader.Finish());
   return row;
 }
 

@@ -58,8 +58,12 @@ netmark::Result<RowId> Table::Insert(const Row& row) {
 }
 
 netmark::Result<Row> Table::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id, epoch));
-  return DecodeRow(bytes);
+  Row row;
+  NETMARK_RETURN_NOT_OK(Read(id, epoch, [&](std::string_view bytes) {
+    NETMARK_ASSIGN_OR_RETURN(row, DecodeRow(bytes));
+    return netmark::Status::OK();
+  }));
+  return row;
 }
 
 netmark::Status Table::Update(RowId id, const Row& row) {
@@ -137,24 +141,28 @@ netmark::Status Table::CreateIndex(const std::string& name,
   return netmark::Status::OK();
 }
 
-std::vector<IndexDef> Table::IndexDefs() const {
-  std::vector<IndexDef> out;
-  for (const auto& [name, index] : indexes_) {
-    IndexDef def;
-    def.name = name;
-    for (size_t ci : index.column_indexes) {
-      def.columns.push_back(schema_.columns()[ci].name);
-    }
-    out.push_back(std::move(def));
-  }
-  return out;
+std::vector<RowId> HitIds(const std::vector<IndexHit>& hits) {
+  std::vector<RowId> ids;
+  ids.reserve(hits.size());
+  for (const IndexHit& hit : hits) ids.push_back(hit.id);
+  return ids;
 }
 
-netmark::Result<std::vector<RowId>> Table::VerifyCandidates(
-    const Index& index, std::vector<RowId> candidates, Epoch epoch,
+netmark::Result<std::vector<IndexHit>> Table::Lookup(
+    const std::string& index, Epoch epoch,
+    const std::function<std::vector<RowId>(const BTree&)>& probe,
     const std::function<bool(const IndexKey&)>& matches) const {
-  std::vector<RowId> out;
-  out.reserve(candidates.size());
+  auto it = indexes_.find(index);
+  if (it == indexes_.end()) {
+    return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
+  }
+  std::vector<RowId> candidates;
+  {
+    std::shared_lock<std::shared_mutex> lock(index_mu_);
+    candidates = probe(it->second.tree);
+  }
+  std::vector<IndexHit> hits;
+  hits.reserve(candidates.size());
   for (RowId id : candidates) {
     auto row_or = Get(id, epoch);
     if (!row_or.ok()) {
@@ -164,72 +172,41 @@ netmark::Result<std::vector<RowId>> Table::VerifyCandidates(
       if (row_or.status().IsNotFound()) continue;
       return row_or.status();
     }
-    if (matches(ExtractKey(index, *row_or))) out.push_back(id);
+    // Only MVCC trees can hold entries whose key the row has since left.
+    if (pager_->mvcc_enabled() && !matches(ExtractKey(it->second, *row_or))) continue;
+    hits.push_back(IndexHit{id, std::move(*row_or)});
   }
-  return out;
+  return hits;
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexLookup(const std::string& index,
-                                                       const IndexKey& key,
-                                                       Epoch epoch) const {
-  auto it = indexes_.find(index);
-  if (it == indexes_.end()) {
-    return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
-  }
-  std::vector<RowId> candidates;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    candidates = it->second.tree.Lookup(key);
-  }
-  if (!pager_->mvcc_enabled()) return candidates;
-  return VerifyCandidates(it->second, std::move(candidates), epoch,
-                          [&](const IndexKey& k) {
-                            return CompareKeys(k, key) == 0;
-                          });
+netmark::Result<std::vector<IndexHit>> Table::IndexLookup(const std::string& index,
+                                                          const IndexKey& key,
+                                                          Epoch epoch) const {
+  return Lookup(
+      index, epoch, [&](const BTree& tree) { return tree.Lookup(key); },
+      [&](const IndexKey& k) { return CompareKeys(k, key) == 0; });
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexRange(const std::string& index,
-                                                      const IndexKey& lo,
-                                                      const IndexKey& hi,
-                                                      Epoch epoch) const {
-  auto it = indexes_.find(index);
-  if (it == indexes_.end()) {
-    return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
-  }
-  std::vector<RowId> candidates;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    candidates = it->second.tree.Range(lo, hi);
-  }
-  if (!pager_->mvcc_enabled()) return candidates;
-  return VerifyCandidates(it->second, std::move(candidates), epoch,
-                          [&](const IndexKey& k) {
-                            return CompareKeys(lo, k) <= 0 &&
-                                   CompareKeys(k, hi) <= 0;
-                          });
+netmark::Result<std::vector<IndexHit>> Table::IndexRange(const std::string& index,
+                                                         const IndexKey& lo,
+                                                         const IndexKey& hi,
+                                                         Epoch epoch) const {
+  return Lookup(
+      index, epoch, [&](const BTree& tree) { return tree.Range(lo, hi); },
+      [&](const IndexKey& k) {
+        return CompareKeys(lo, k) <= 0 && CompareKeys(k, hi) <= 0;
+      });
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexPrefix(const std::string& index,
-                                                       const IndexKey& prefix,
-                                                       Epoch epoch) const {
-  auto it = indexes_.find(index);
-  if (it == indexes_.end()) {
-    return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
-  }
-  std::vector<RowId> candidates;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    candidates = it->second.tree.PrefixLookup(prefix);
-  }
-  if (!pager_->mvcc_enabled()) return candidates;
-  return VerifyCandidates(it->second, std::move(candidates), epoch,
-                          [&](const IndexKey& k) {
-                            if (k.size() < prefix.size()) return false;
-                            IndexKey head(k.begin(),
-                                          k.begin() + static_cast<std::ptrdiff_t>(
-                                                          prefix.size()));
-                            return CompareKeys(head, prefix) == 0;
-                          });
+netmark::Result<std::vector<IndexHit>> Table::IndexPrefix(const std::string& index,
+                                                          const IndexKey& prefix,
+                                                          Epoch epoch) const {
+  return Lookup(
+      index, epoch, [&](const BTree& tree) { return tree.PrefixLookup(prefix); },
+      [&](const IndexKey& k) {
+        if (k.size() < prefix.size()) return false;
+        return std::equal(prefix.begin(), prefix.end(), k.begin());
+      });
 }
 
 void Table::SealPendingRemovals(Epoch epoch) {
@@ -258,16 +235,6 @@ uint64_t Table::ApplyPendingRemovals(Epoch watermark) {
   }
   pending_removals_.erase(keep, pending_removals_.end());
   return applied;
-}
-
-uint64_t Table::pending_removals() const {
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
-  return pending_removals_.size();
-}
-
-const BTree* Table::GetIndex(const std::string& name) const {
-  auto it = indexes_.find(name);
-  return it == indexes_.end() ? nullptr : &it->second.tree;
 }
 
 }  // namespace netmark::storage

@@ -7,9 +7,10 @@
 // once no pinned reader is older (so snapshot readers keep finding old rows
 // through the index); and (b) *verifies* every index lookup against the heap
 // at the reader's epoch — a candidate whose row is gone, not yet visible, or
-// no longer matches the key at that epoch is silently dropped. Readers take
-// index_mu_ shared per lookup; only mutators and the GC take it exclusive
-// (both are short, bounded operations).
+// no longer matches the key at that epoch is silently dropped. Lookups return
+// the rows they read to verify, so a caller never reads a matched row twice.
+// Readers take index_mu_ shared per lookup; only mutators and the GC take it
+// exclusive (both are short, bounded operations).
 
 #ifndef NETMARK_STORAGE_TABLE_H_
 #define NETMARK_STORAGE_TABLE_H_
@@ -34,6 +35,16 @@ struct IndexDef {
   std::vector<std::string> columns;
 };
 
+/// One index match: the row's address and its contents as of the lookup's
+/// epoch.
+struct IndexHit {
+  RowId id;
+  Row row;
+};
+
+/// The addresses of `hits`, in order (for callers that need no row data).
+std::vector<RowId> HitIds(const std::vector<IndexHit>& hits);
+
 /// \brief One relational table: typed rows addressed by RowId.
 class Table {
  public:
@@ -50,6 +61,12 @@ class Table {
   /// Validates against the schema and stores the row.
   netmark::Result<RowId> Insert(const Row& row);
   netmark::Result<Row> Get(RowId id, Epoch epoch = kLatestEpoch) const;
+  /// Zero-copy Get: `fn` sees the row's EncodeRow bytes in place (see
+  /// HeapFile::Read), for readers that decode with RowReader.
+  netmark::Status Read(RowId id, Epoch epoch,
+                       const std::function<netmark::Status(std::string_view)>& fn) const {
+    return heap_->Read(id, epoch, fn);
+  }
   netmark::Status Update(RowId id, const Row& row);
   netmark::Status Delete(RowId id);
 
@@ -62,22 +79,23 @@ class Table {
   netmark::Status CreateIndex(const std::string& name,
                               const std::vector<std::string>& columns);
   bool HasIndex(const std::string& name) const { return indexes_.count(name) != 0; }
-  std::vector<IndexDef> IndexDefs() const;
 
-  /// Exact-match lookup on an index. Under MVCC every candidate is verified
-  /// against the heap at `epoch` (see the file comment).
-  netmark::Result<std::vector<RowId>> IndexLookup(const std::string& index,
-                                                  const IndexKey& key,
-                                                  Epoch epoch = kLatestEpoch) const;
+  /// Exact-match lookup on an index: every matching row as of `epoch`, in
+  /// index order. Each candidate is read once; under MVCC a candidate whose
+  /// row is invisible at `epoch` or whose key no longer matches there is
+  /// dropped (see the file comment).
+  netmark::Result<std::vector<IndexHit>> IndexLookup(const std::string& index,
+                                                     const IndexKey& key,
+                                                     Epoch epoch = kLatestEpoch) const;
   /// Inclusive range lookup on an index.
-  netmark::Result<std::vector<RowId>> IndexRange(const std::string& index,
-                                                 const IndexKey& lo,
-                                                 const IndexKey& hi,
-                                                 Epoch epoch = kLatestEpoch) const;
+  netmark::Result<std::vector<IndexHit>> IndexRange(const std::string& index,
+                                                    const IndexKey& lo,
+                                                    const IndexKey& hi,
+                                                    Epoch epoch = kLatestEpoch) const;
   /// Prefix lookup (first k components equal) on an index.
-  netmark::Result<std::vector<RowId>> IndexPrefix(const std::string& index,
-                                                  const IndexKey& prefix,
-                                                  Epoch epoch = kLatestEpoch) const;
+  netmark::Result<std::vector<IndexHit>> IndexPrefix(const std::string& index,
+                                                     const IndexKey& prefix,
+                                                     Epoch epoch = kLatestEpoch) const;
 
   /// MVCC commit hook: stamps every queued index removal with the commit's
   /// epoch, making it eligible for ApplyPendingRemovals once no reader pins
@@ -88,13 +106,6 @@ class Table {
   /// oldest pinned epoch, or the current epoch when nothing is pinned).
   /// Returns the number applied.
   uint64_t ApplyPendingRemovals(Epoch watermark);
-
-  /// Queued index removals not yet applied (tests/metrics).
-  uint64_t pending_removals() const;
-
-  /// Direct access to the underlying B+Tree (tests/benchmarks). Not
-  /// synchronized against concurrent mutation.
-  const BTree* GetIndex(const std::string& name) const;
 
   netmark::Status Flush() { return pager_->Flush(); }
   const Pager& pager() const { return *pager_; }
@@ -127,11 +138,13 @@ class Table {
   netmark::Status IndexRemove(const Row& row, RowId id);
   /// Queues removal of (key, id) from `name` (MVCC deferred-removal path).
   void DeferRemoval(const std::string& name, IndexKey key, RowId id);
-  /// Re-reads each candidate at `epoch` and keeps those whose extracted key
-  /// satisfies `matches`. NotFound candidates are dropped; other errors
-  /// propagate.
-  netmark::Result<std::vector<RowId>> VerifyCandidates(
-      const Index& index, std::vector<RowId> candidates, Epoch epoch,
+  /// The one lookup path: collects candidates from `index`'s tree with
+  /// `probe` (under index_mu_ shared), reads each at `epoch`, and keeps
+  /// those whose extracted key satisfies `matches`. NotFound candidates are
+  /// dropped; other errors propagate.
+  netmark::Result<std::vector<IndexHit>> Lookup(
+      const std::string& index, Epoch epoch,
+      const std::function<std::vector<RowId>(const BTree&)>& probe,
       const std::function<bool(const IndexKey&)>& matches) const;
 
   TableSchema schema_;

@@ -42,23 +42,62 @@ Row NodeRecord::ToRow() const {
   return row;
 }
 
-netmark::Result<NodeRecord> NodeRecord::FromRow(const Row& row) {
-  if (row.size() != 9) {
-    return netmark::Status::Corruption("XML row has wrong arity");
+namespace {
+
+constexpr size_t kNodeColumns = 9;
+
+// The column mapping FromRow and Decode share: `cells` are the nine stored
+// cells in schema order.
+netmark::Result<NodeRecord> FromCells(const storage::ValueView* cells) {
+  using C = NodeRecord::Column;
+  for (size_t c = 0; c < kNodeColumns; ++c) {
+    ValueType t = cells[c].type;
+    bool text = c == C::kNodeName || c == C::kNodeData;
+    if (text ? t != ValueType::kString && t != ValueType::kNull : t != ValueType::kInt64) {
+      return netmark::Status::Corruption("XML row has a mistyped column");
+    }
   }
   NodeRecord r;
-  r.node_id = row[kNodeId].AsInt();
-  r.doc_id = row[kDocId].AsInt();
-  r.parent_rowid = RowId::Unpack(static_cast<uint64_t>(row[kParentRowId].AsInt()));
-  r.parent_node_id = row[kParentNodeId].AsInt();
+  r.node_id = cells[C::kNodeId].int_value;
+  r.doc_id = cells[C::kDocId].int_value;
+  r.parent_rowid = RowId::Unpack(static_cast<uint64_t>(cells[C::kParentRowId].int_value));
+  r.parent_node_id = cells[C::kParentNodeId].int_value;
   NETMARK_ASSIGN_OR_RETURN(
       r.node_type,
-      xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(row[kNodeType].AsInt())));
-  if (!row[kNodeName].is_null()) r.node_name = row[kNodeName].AsStr();
-  if (!row[kNodeData].is_null()) r.node_data = row[kNodeData].AsStr();
-  r.sibling_rowid = RowId::Unpack(static_cast<uint64_t>(row[kSiblingId].AsInt()));
-  r.prev_rowid = RowId::Unpack(static_cast<uint64_t>(row[kPrevRowId].AsInt()));
+      xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(cells[C::kNodeType].int_value)));
+  r.node_name = cells[C::kNodeName].str_value;  // NULL views are empty
+  r.node_data = cells[C::kNodeData].str_value;
+  r.sibling_rowid = RowId::Unpack(static_cast<uint64_t>(cells[C::kSiblingId].int_value));
+  r.prev_rowid = RowId::Unpack(static_cast<uint64_t>(cells[C::kPrevRowId].int_value));
   return r;
+}
+
+}  // namespace
+
+netmark::Result<NodeRecord> NodeRecord::FromRow(const Row& row) {
+  if (row.size() != kNodeColumns) {
+    return netmark::Status::Corruption("XML row has wrong arity");
+  }
+  storage::ValueView cells[kNodeColumns];
+  for (size_t i = 0; i < kNodeColumns; ++i) {
+    cells[i].type = row[i].type();
+    if (cells[i].type == ValueType::kInt64) cells[i].int_value = row[i].AsInt();
+    if (cells[i].type == ValueType::kString) cells[i].str_value = row[i].AsStr();
+  }
+  return FromCells(cells);
+}
+
+netmark::Result<NodeRecord> NodeRecord::Decode(std::string_view bytes) {
+  NETMARK_ASSIGN_OR_RETURN(storage::RowReader reader, storage::RowReader::Open(bytes));
+  if (reader.columns() != kNodeColumns) {
+    return netmark::Status::Corruption("XML row has wrong arity");
+  }
+  storage::ValueView cells[kNodeColumns];
+  for (storage::ValueView& cell : cells) {
+    NETMARK_ASSIGN_OR_RETURN(cell, reader.Next());
+  }
+  NETMARK_RETURN_NOT_OK(reader.Finish());
+  return FromCells(cells);
 }
 
 TableSchema DocRecord::Schema() {

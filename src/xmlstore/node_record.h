@@ -58,6 +58,9 @@ struct NodeRecord {
 
   storage::Row ToRow() const;
   static netmark::Result<NodeRecord> FromRow(const storage::Row& row);
+  /// Decodes straight from EncodeRow bytes (a heap record in place), with
+  /// the same result as FromRow(DecodeRow(bytes)) and no intermediate Row.
+  static netmark::Result<NodeRecord> Decode(std::string_view bytes);
 
   bool is_context() const { return node_type == xml::NetmarkNodeType::kContext; }
   bool is_text() const { return node_type == xml::NetmarkNodeType::kText; }

@@ -359,6 +359,11 @@ class XmlStore {
   /// advances the cursor and the scrub counters.
   void ScrubBatch(int budget, size_t* table_idx, storage::PageId* next_page) const;
 
+  /// `node_id`'s children as of `epoch`, in NODEID (document) order,
+  /// decoded from the rows the index lookup verified — one read per child.
+  netmark::Result<std::vector<std::pair<storage::RowId, NodeRecord>>> ChildRecords(
+      int64_t node_id, storage::Epoch epoch) const;
+
   storage::Table* xml_table() const { return xml_table_; }
   storage::Table* doc_table() const { return doc_table_; }
 

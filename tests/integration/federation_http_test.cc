@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/temp_dir.h"
 #include "core/netmark.h"
+#include "federation/circuit_breaker.h"
 #include "federation/content_only_source.h"
 #include "federation/remote_source.h"
 #include "server/http_client.h"
@@ -135,6 +137,39 @@ TEST_F(FederationHttpTest, DatabankExposedThroughLocalHttpEndpoint) {
   for (xml::NodeId src : doc->ChildElements(sources)) {
     EXPECT_EQ(doc->GetAttribute(src, "outcome"), "ok");
   }
+  local_->StopServer();
+}
+
+TEST_F(FederationHttpTest, StylesheetIsAppliedByTheMediatorNotPushedDown) {
+  // Only the mediator knows the stylesheet: a pushed-down xslt= would make
+  // every remote fail and trip its breaker.
+  constexpr const char* kReport =
+      "<xsl:stylesheet><xsl:template match=\"/\">"
+      "<report count=\"{results/@count}\" complete=\"{results/@complete}\"/>"
+      "</xsl:template></xsl:stylesheet>";
+  ASSERT_TRUE(local_->RegisterStylesheet("report", kReport).ok());
+  ASSERT_TRUE(local_->StartServer().ok());
+  server::HttpClient client("127.0.0.1", local_->server_port());
+  // More requests than the breaker's failure threshold.
+  for (int i = 0; i < 8; ++i) {
+    auto resp = client.Get(
+        "/xdb?context=Corrective+Action&databank=anomalies&xslt=report");
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp->status, 200) << resp->body;
+    auto doc = xml::ParseXml(resp->body);
+    ASSERT_TRUE(doc.ok()) << resp->body;
+    xml::NodeId report = doc->DocumentElement();
+    EXPECT_EQ(doc->name(report), "report");
+    EXPECT_EQ(doc->GetAttribute(report, "complete"), "true") << resp->body;
+    EXPECT_EQ(doc->GetAttribute(report, "count"), "8") << resp->body;
+  }
+  for (const char* source : {"anomaly-db-0", "anomaly-db-1"}) {
+    federation::CircuitBreaker* breaker = local_->router()->GetBreaker(source);
+    ASSERT_NE(breaker, nullptr);
+    EXPECT_EQ(breaker->state(MonotonicMicros()),
+              federation::CircuitBreaker::State::kClosed);
+  }
+  EXPECT_EQ(local_->router()->stats().source_failures, 0u);
   local_->StopServer();
 }
 

@@ -230,5 +230,28 @@ TEST_F(CachedExecutorTest, DocScopeAndLimitAreDistinctEntries) {
   EXPECT_EQ(limited.cache_hits, 0u);
 }
 
+TEST_F(CachedExecutorTest, StylesheetAndDeadlineShareTheEntry) {
+  // Neither the stylesheet applied after execution nor the deadline a
+  // federated hop pushes changes the hit list: one miss, then hits.
+  QueryExecutor::Stats plain, styled, bounded;
+  auto base = Run("context=Budget&content=engine", &plain);
+  auto with_xslt = Run("context=Budget&content=engine&xslt=report", &styled);
+  auto with_timeout = Run("context=Budget&content=engine&timeout=1234", &bounded);
+  EXPECT_EQ(plain.cache_hits, 0u);
+  EXPECT_EQ(styled.cache_hits, 1u);
+  EXPECT_EQ(bounded.cache_hits, 1u);
+  EXPECT_EQ(cache_.snapshot().misses, 1u);
+  EXPECT_EQ(cache_.snapshot().insertions, 1u);
+  ASSERT_EQ(base.size(), 1u);
+  for (const auto* hits : {&with_xslt, &with_timeout}) {
+    ASSERT_EQ(hits->size(), base.size());
+    EXPECT_EQ((*hits)[0].doc_id, base[0].doc_id);
+    EXPECT_EQ((*hits)[0].context, base[0].context);
+    EXPECT_EQ((*hits)[0].heading, base[0].heading);
+    EXPECT_EQ((*hits)[0].text, base[0].text);
+    EXPECT_EQ((*hits)[0].score, base[0].score);
+  }
+}
+
 }  // namespace
 }  // namespace netmark::query

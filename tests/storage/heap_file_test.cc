@@ -201,5 +201,71 @@ TEST_F(HeapFileTest, RandomizedWorkloadMatchesReferenceMap) {
   EXPECT_EQ(scanned, reference.size());
 }
 
+// Get and the zero-copy Read must agree at every epoch, across forward
+// pointers and overflow chains.
+void ExpectRecordAt(const HeapFile& heap, RowId id, Epoch epoch,
+                    const std::string& expected) {
+  auto got = heap.Get(id, epoch);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, expected);
+  std::string seen;
+  ASSERT_TRUE(heap.Read(id, epoch, [&](std::string_view record) {
+                    seen.assign(record);
+                    return Status::OK();
+                  }).ok());
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(HeapFileMvccTest, ForwardedAndOverflowRecordsAtPinnedOldEpoch) {
+  auto dir = TempDir::Make("heapmvcc");
+  ASSERT_TRUE(dir.ok());
+  PagerOptions options;
+  options.mvcc = true;
+  auto pager = Pager::Open((dir->path() / "t.heap").string(), options);
+  ASSERT_TRUE(pager.ok());
+  auto heap_or = HeapFile::Open(pager->get());
+  ASSERT_TRUE(heap_or.ok());
+  HeapFile& heap = *heap_or;
+
+  // Epoch 1: one small record, one overflow record.
+  const std::string small_v1 = "small-record-v1";
+  const std::string big_v1(3 * kPageSize, 'b');
+  auto small = heap.Insert(small_v1);
+  auto big = heap.Insert(big_v1);
+  ASSERT_TRUE(small.ok() && big.ok());
+  (*pager)->Publish(1);
+
+  // Epoch 2: the small record outgrows its slot (relocated behind a forward
+  // pointer) and the overflow record is rewritten onto a new chain.
+  const std::string small_v2(600, 's');
+  const std::string big_v2(2 * kPageSize + 17, 'B');
+  ASSERT_TRUE(heap.Update(*small, small_v2).ok());
+  ASSERT_TRUE(heap.Update(*big, big_v2).ok());
+  auto later = heap.Insert("born-at-epoch-2");
+  ASSERT_TRUE(later.ok());
+  // Epoch 3: grow again, collapsing the chain onto a third location.
+  const std::string small_v3(900, 't');
+  ASSERT_TRUE(heap.Update(*small, small_v3).ok());
+  (*pager)->Publish(2);
+  ASSERT_TRUE(heap.Update(*small, small_v3 + "!").ok());
+  (*pager)->Publish(3);
+
+  ExpectRecordAt(heap, *small, 1, small_v1);
+  ExpectRecordAt(heap, *big, 1, big_v1);
+  ExpectRecordAt(heap, *small, 2, small_v3);
+  ExpectRecordAt(heap, *big, 2, big_v2);
+  ExpectRecordAt(heap, *small, 3, small_v3 + "!");
+  ExpectRecordAt(heap, *small, kLatestEpoch, small_v3 + "!");
+  ExpectRecordAt(heap, *big, kLatestEpoch, big_v2);
+  ExpectRecordAt(heap, *later, 2, "born-at-epoch-2");
+
+  // A record inserted after the pin is NotFound through both calls, whether
+  // its page was born later or only its slot was.
+  EXPECT_TRUE(heap.Get(*later, 1).status().IsNotFound());
+  EXPECT_TRUE(heap.Read(*later, 1, [](std::string_view) { return Status::OK(); })
+                  .IsNotFound());
+  EXPECT_TRUE(heap.Get(RowId(small->page, 999), 1).status().IsNotFound());
+}
+
 }  // namespace
 }  // namespace netmark::storage

@@ -62,7 +62,7 @@ TEST_F(TableTest, IndexMaintainedAcrossMutations) {
   auto hits = table_->IndexLookup("by_name", {Value::Str("ada")});
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0], *a);
+  EXPECT_EQ((*hits)[0].id, *a);
 
   // Update moves the index entry.
   ASSERT_TRUE(table_->Update(*a, Person(1, "ada lovelace", 36)).ok());
@@ -83,7 +83,8 @@ TEST_F(TableTest, CreateIndexBackfillsExistingRows) {
   auto hits = table_->IndexLookup("by_id", {Value::Int(13)});
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
-  auto row = table_->Get((*hits)[0]);
+  EXPECT_EQ((*hits)[0].row[1].AsStr(), "p13");
+  auto row = table_->Get((*hits)[0].id);
   EXPECT_EQ((*row)[1].AsStr(), "p13");
 }
 
@@ -138,6 +139,74 @@ TEST_F(TableTest, ScanErrorPropagates) {
   Status st = table_->Scan(
       [](RowId, const Row&) { return Status::Internal("stop here"); });
   EXPECT_TRUE(st.IsInternal());
+}
+
+// Under MVCC a lookup at a pinned epoch returns exactly the rows visible
+// there, with their contents as of that epoch: rows deleted or re-keyed
+// after the pin still match, rows inserted after it do not.
+TEST(TableMvccTest, VerifiedLookupsAnswerAsOfThePinnedEpoch) {
+  auto dir = TempDir::Make("tablemvcc");
+  ASSERT_TRUE(dir.ok());
+  PagerOptions options;
+  options.mvcc = true;
+  auto table_or = Table::Open(PeopleSchema(), (dir->path() / "people.heap").string(),
+                              {IndexDef{"by_name", {"name"}}, IndexDef{"by_age_id", {"age", "id"}}},
+                              options);
+  ASSERT_TRUE(table_or.ok());
+  Table& table = **table_or;
+  auto commit = [&](Epoch epoch) {
+    table.mutable_pager()->Publish(epoch);
+    table.SealPendingRemovals(epoch);
+  };
+
+  auto ada = table.Insert(Person(1, "ada", 36));
+  auto bob = table.Insert(Person(2, "bob", 50));
+  ASSERT_TRUE(ada.ok() && bob.ok());
+  commit(1);
+
+  // Epoch 2: bob deleted, ada re-keyed, a second "bob" inserted.
+  ASSERT_TRUE(table.Delete(*bob).ok());
+  ASSERT_TRUE(table.Update(*ada, Person(1, "ada lovelace", 36)).ok());
+  auto bob2 = table.Insert(Person(3, "bob", 51));
+  ASSERT_TRUE(bob2.ok());
+  commit(2);
+
+  auto bobs_at_1 = table.IndexLookup("by_name", {Value::Str("bob")}, 1);
+  ASSERT_TRUE(bobs_at_1.ok());
+  ASSERT_EQ(bobs_at_1->size(), 1u);
+  EXPECT_EQ((*bobs_at_1)[0].id, *bob);
+  EXPECT_EQ((*bobs_at_1)[0].row[0].AsInt(), 2);
+
+  auto bobs_at_2 = table.IndexLookup("by_name", {Value::Str("bob")}, 2);
+  ASSERT_TRUE(bobs_at_2.ok());
+  ASSERT_EQ(bobs_at_2->size(), 1u);
+  EXPECT_EQ((*bobs_at_2)[0].id, *bob2);
+  EXPECT_EQ((*bobs_at_2)[0].row[2].AsInt(), 51);
+
+  auto ada_at_1 = table.IndexLookup("by_name", {Value::Str("ada")}, 1);
+  ASSERT_TRUE(ada_at_1.ok());
+  ASSERT_EQ(ada_at_1->size(), 1u);
+  EXPECT_EQ((*ada_at_1)[0].row[1].AsStr(), "ada");
+  EXPECT_TRUE(table.IndexLookup("by_name", {Value::Str("ada")}, 2)->empty());
+  EXPECT_TRUE(table.IndexLookup("by_name", {Value::Str("ada lovelace")}, 1)->empty());
+  EXPECT_EQ(table.IndexLookup("by_name", {Value::Str("ada lovelace")}, 2)->size(), 1u);
+
+  // Range and prefix lookups take the same verified path.
+  auto fifties_at_1 = table.IndexPrefix("by_age_id", {Value::Int(50)}, 1);
+  ASSERT_TRUE(fifties_at_1.ok());
+  EXPECT_EQ(HitIds(*fifties_at_1), std::vector<RowId>{*bob});
+  EXPECT_TRUE(table.IndexPrefix("by_age_id", {Value::Int(50)}, 2)->empty());
+  auto range_at_1 = table.IndexRange("by_age_id", {Value::Int(0)}, {Value::Int(100)}, 1);
+  ASSERT_TRUE(range_at_1.ok());
+  EXPECT_EQ(HitIds(*range_at_1), (std::vector<RowId>{*ada, *bob}));
+  auto range_at_2 = table.IndexRange("by_age_id", {Value::Int(0)}, {Value::Int(100)}, 2);
+  ASSERT_TRUE(range_at_2.ok());
+  EXPECT_EQ(HitIds(*range_at_2), (std::vector<RowId>{*ada, *bob2}));
+
+  // Once the GC applies the sealed removals, the old epoch's entries are gone
+  // from the tree and the latest view is unchanged.
+  EXPECT_GT(table.ApplyPendingRemovals(2), 0u);
+  EXPECT_EQ(table.IndexLookup("by_name", {Value::Str("bob")})->size(), 1u);
 }
 
 }  // namespace
